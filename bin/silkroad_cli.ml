@@ -359,8 +359,9 @@ let trace_replay_cmd =
       value & flag
       & info [ "fast" ]
           ~doc:
-            "Replay through the packed-trace fast path (batched, allocation-free) instead of \
-             the event-driven driver. Reports the same PCC counters.")
+            "Replay through the packed-trace fast path (no per-packet event or packet record, \
+             judged by Harness.Judge) instead of the event-driven driver. Reports the same PCC \
+             counters; the rate is packets per CPU second, summed over Domains.")
   in
   let shards =
     Arg.(
@@ -441,7 +442,7 @@ let trace_replay_cmd =
              let r = Harness.Replay.run ~mode ~make_switch ~trace ~controls () in
              Format.fprintf ppf
                "silkroad (fast%s): conns=%d broken=%d packets=%d dropped=%d violations=%d  \
-                %.2e pkt/s@."
+                %.2e pkt/CPU-s@."
                (if shards > 1 then Printf.sprintf ", %d shards" shards else "")
                r.Harness.Replay.connections r.Harness.Replay.broken r.Harness.Replay.packets
                r.Harness.Replay.dropped r.Harness.Replay.violations
@@ -568,7 +569,8 @@ let netwide_cmd =
       Format.fprintf ppf "%a@." Netwide.Topology.pp topo;
       let r = Netwide.Replay.run ~parallel ~topo ~trace ~controls ~events () in
       Format.fprintf ppf
-        "netwide: conns=%d broken=%d packets=%d dropped=%d violations=%d moved=%d  %.2e pkt/s@."
+        "netwide: conns=%d broken=%d packets=%d dropped=%d violations=%d moved=%d  %.2e \
+         pkt/CPU-s@."
         r.Netwide.Replay.connections r.Netwide.Replay.broken r.Netwide.Replay.packets
         r.Netwide.Replay.dropped r.Netwide.Replay.violations r.Netwide.Replay.moved_flows
         (float_of_int r.Netwide.Replay.packets /. r.Netwide.Replay.elapsed);

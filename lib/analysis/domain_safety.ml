@@ -15,6 +15,7 @@ let default_roots =
   [
     "Harness.Replay.Stepper";
     "Control.Session";
+    "Netwide.Replay.run";
     "Silkroad.Switch.process_flow";
     "Silkroad.Switch.process_batch";
   ]

@@ -45,8 +45,8 @@
 
 val default_roots : string list
 (** The Domain entry points: ["Harness.Replay.Stepper"],
-    ["Control.Session"], ["Silkroad.Switch.process_flow"],
-    ["Silkroad.Switch.process_batch"]. A binding is a root when its
+    ["Control.Session"], ["Netwide.Replay.run"],
+    ["Silkroad.Switch.process_flow"], ["Silkroad.Switch.process_batch"]. A binding is a root when its
     fully qualified name equals a root or extends it by [.]-components
     (so a module prefix roots every binding under it). *)
 

@@ -327,11 +327,7 @@ type model = {
   mutable n_forced : int;
   mutable n_repairs : int;
   mutable recycle_bad : bool;
-  (* PCC (mirrors Harness.Replay.judge) *)
-  pcc_first : Ep.t option array;
-  pcc_state : int array;  (* bit 1 live, bit 2 excluded, bit 4 bad *)
-  mutable n_violations : int;
-  mutable n_broken : int;
+  pcc : Harness.Judge.t;  (* one owner: the model is one switch *)
 }
 
 let make_model ~cfg ~deadline ~eager_gc ~flows ~removed ~collide ~alias =
@@ -369,10 +365,7 @@ let make_model ~cfg ~deadline ~eager_gc ~flows ~removed ~collide ~alias =
     n_forced = 0;
     n_repairs = 0;
     recycle_bad = false;
-    pcc_first = Array.make n None;
-    pcc_state = Array.make n 0;
-    n_violations = 0;
-    n_broken = 0;
+    pcc = Harness.Judge.create ~flows:n ~owners:1;
   }
 
 let live_conn m f =
@@ -607,46 +600,6 @@ let advance m ~now =
     release_stuck m ~now
   end
 
-(* ----- PCC oracle (mirrors Harness.Replay.judge / exclude_dip) ----- *)
-
-let st_live = 1
-let st_excluded = 2
-let st_bad = 4
-
-let judge m f dip ~ends =
-  let b = m.pcc_state.(f) in
-  if b land st_live = 0 then begin
-    let bad = dip = None in
-    if bad then begin
-      m.n_broken <- m.n_broken + 1;
-      m.n_violations <- m.n_violations + 1
-    end;
-    m.pcc_first.(f) <- dip;
-    m.pcc_state.(f) <- st_live lor (if bad then st_bad else 0)
-  end
-  else if b land st_excluded = 0 then begin
-    let consistent =
-      match (m.pcc_first.(f), dip) with Some a, Some d -> Ep.equal a d | _ -> false
-    in
-    if not consistent then begin
-      m.n_violations <- m.n_violations + 1;
-      if b land st_bad = 0 then begin
-        m.n_broken <- m.n_broken + 1;
-        m.pcc_state.(f) <- m.pcc_state.(f) lor st_bad
-      end
-    end
-  end;
-  if ends then m.pcc_state.(f) <- 0
-
-let exclude_dip m dip =
-  Array.iteri
-    (fun f b ->
-      if b land st_live <> 0 then
-        match m.pcc_first.(f) with
-        | Some d when Ep.equal d dip -> m.pcc_state.(f) <- b lor st_excluded
-        | Some _ | None -> ())
-    m.pcc_state
-
 (* ----- packet path (mirrors Switch.process_flow) ----- *)
 
 let forward m f version =
@@ -749,12 +702,13 @@ let process_packet m ~now f ~syn ~ends =
           forward m f gv
       | Some _ | None -> handle_miss m ~now f ~syn ~ends)
   in
-  judge m f dip ~ends;
+  (* the PCC oracle: the replay engines' judge, a drop as its sentinel *)
+  Harness.Judge.judge m.pcc ~owner:0 f (Option.value dip ~default:Silkroad.Switch.no_dip) ~ends;
   dip
 
 let process_update m ~now j =
   advance m ~now;
-  exclude_dip m m.removed.(j);
+  Harness.Judge.exclude m.pcc m.removed.(j);
   match m.job with
   | Some _ -> Queue.add (now, j) m.queue
   | None -> start_job m ~now j
@@ -797,10 +751,11 @@ let run_model ~cfg ~deadline ~eager_gc ~flows ~removed ~collide ~alias ~events ~
     events;
   advance m ~now:horizon;
   check_recycle_invariant m;
+  let pcc = Harness.Judge.total m.pcc in
   {
     rr_dips = dips;
-    rr_violations = m.n_violations;
-    rr_broken = m.n_broken;
+    rr_violations = pcc.Harness.Judge.c_violations;
+    rr_broken = pcc.Harness.Judge.c_broken;
     rr_completed = m.n_completed;
     rr_failed = m.n_failed;
     rr_forced = m.n_forced;

@@ -11,8 +11,8 @@
     several timing regimes, and checks two properties after every event:
 
     - {b PCC}: every judged packet of a connection is forwarded to the
-      DIP of its first packet (mirroring {!Harness.Replay}'s judge,
-      including the removed-DIP exclusion rule);
+      DIP of its first packet, as judged by {!Harness.Judge} (the
+      replay engines' judge, removed-DIP exclusion included);
     - {b no premature version recycle}: no live connection ever
       references a DIP-pool version that has been destroyed.
 

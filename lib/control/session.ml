@@ -8,6 +8,7 @@ type phase =
 
 type t = {
   steppers : Stepper.t array;
+  judge : Harness.Judge.t;
   trace_horizon : float;
   registry : Registry.t;
   c_errors : Registry.Counter.t;
@@ -36,8 +37,7 @@ let switch0 t = Stepper.switch t.steppers.(0)
    histogram's default range. *)
 let transit_spec = { Telemetry.Histogram.lo = 1.0; decades = 9; buckets_per_decade = 10 }
 
-let create ?(cfg = Silkroad.Config.default) ?(shards = 1) ?(batched = true) ?(vips = [])
-    ?trace () =
+let create ?(cfg = Silkroad.Config.default) ?(shards = 1) ?(vips = []) ?trace () =
   if shards < 1 then invalid_arg "Session.create: shards must be >= 1";
   let trace =
     match trace with
@@ -49,7 +49,7 @@ let create ?(cfg = Silkroad.Config.default) ?(shards = 1) ?(batched = true) ?(vi
     Array.init shards (fun k ->
         let sw = Silkroad.Switch.create cfg in
         List.iter (fun (v, pool) -> Silkroad.Switch.add_vip sw v pool) vips;
-        Stepper.create sh ~shard:k ~batched sw)
+        Stepper.create sh ~shard:k ~batched:true sw)
   in
   let registry = Registry.create () in
   let members = Hashtbl.create 16 in
@@ -60,6 +60,7 @@ let create ?(cfg = Silkroad.Config.default) ?(shards = 1) ?(batched = true) ?(vi
   let t =
     {
       steppers;
+      judge = Stepper.judge sh;
       trace_horizon = Stepper.horizon sh;
       registry;
       c_errors = Registry.counter registry "control.errors";
@@ -92,8 +93,7 @@ let closed t = t.phase = Closed
 let switches t = Array.map Stepper.switch t.steppers
 let pending_updates t = Silkroad.Switch.pending_updates (switch0 t)
 
-let counts t =
-  Harness.Replay.sum_counts (Array.to_list (Array.map Stepper.counts t.steppers))
+let counts t = Harness.Judge.total t.judge
 
 let control_metrics t = t.registry
 

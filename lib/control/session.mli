@@ -41,16 +41,16 @@ type t
 val create :
   ?cfg:Silkroad.Config.t ->
   ?shards:int ->
-  ?batched:bool ->
   ?vips:(Netcore.Endpoint.t * Lb.Dip_pool.t) list ->
   ?trace:Harness.Packed_trace.t ->
   unit ->
   t
-(** [?shards] (default 1) switches partitioned as in sharded replay;
-    [?batched] (default true) selects {!Silkroad.Switch.process_batch}
-    for the packet path; [?vips] are pre-registered on every switch
-    before any traffic, exactly like [make_switch] in a batch run (VIPs
-    can equally be added with [vip-add] commands at time 0); [?trace]
+(** [?shards] (default 1) switches partitioned as in sharded replay,
+    each driving its packets through {!Silkroad.Switch.process_batch}
+    and judged by one shared {!Harness.Judge}; [?vips] are
+    pre-registered on every switch before any traffic, exactly like
+    [make_switch] in a batch run (VIPs can equally be added with
+    [vip-add] commands at time 0); [?trace]
     (default empty) is the concurrent data-plane load, whose packets are
     interleaved with commands in virtual-time order. *)
 
@@ -65,7 +65,7 @@ val drained : t -> bool
 val closed : t -> bool
 
 val counts : t -> Harness.Replay.counts
-(** PCC accounting summed over shards — the same numbers a batch
+(** {!Harness.Judge.total} over every shard — the same numbers a batch
     {!Harness.Replay.run} of the equivalent control list reports. *)
 
 val pending_updates : t -> int

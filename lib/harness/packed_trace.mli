@@ -5,8 +5,10 @@
     parallel arrays sorted by (time, emission order) — the exact order
     {!Driver.run}'s event queue would fire them in — and per-flow
     metadata (5-tuple, VIP, id) lives in flow-indexed arrays. The
-    replay engine streams these through {!Silkroad.Switch.process_batch}
-    without allocating a packet record per probe.
+    replay engines ({!Replay}, [Netwide.Replay]) stream these through
+    {!Silkroad.Switch.process_batch} or {!Silkroad.Switch.process_flow}
+    without building a packet record per probe, and judge each packet
+    with {!Judge} by its flow index.
 
     The binary codec ([save]/[load]) makes a compiled trace a reusable
     artifact: compile a big workload once, replay it under many
@@ -25,10 +27,6 @@ type t = {
 
 val n_flows : t -> int
 val n_packets : t -> int
-
-val dummy_tuple : Netcore.Five_tuple.t
-(** Placeholder tuple ([Endpoint.none] to [Endpoint.none]) used to
-    initialise flow arrays before they are filled. *)
 
 val compile :
   ?early_offsets:float list ->

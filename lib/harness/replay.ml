@@ -73,75 +73,13 @@ type result = {
   elapsed : float;
 }
 
-type counts = {
+type counts = Judge.counts = {
   c_packets : int;
   c_dropped : int;
   c_connections : int;
   c_broken : int;
   c_violations : int;
 }
-
-(* per-shard accounting; summed at the end *)
-type counters = {
-  mutable sc_packets : int;
-  mutable sc_dropped : int;
-  mutable sc_total : int;
-  mutable sc_broken : int;
-  mutable sc_violations : int;
-}
-
-(* flat PCC state bytes (shared arrays, disjoint writes by flow owner) *)
-let st_live = 1
-let st_excluded = 2
-let st_bad = 4
-
-(* Mirrors Lb.Pcc.judge + on_finish, flow-indexed and allocation-free.
-   [no_dip] is the physically-unique drop sentinel (tested with [==]),
-   which doubles as the oracle's "first packet was dropped" marker —
-   exactly Pcc's [first = None]. *)
-let judge ~no_dip ~first ~state (c : counters) i dip ~ends =
-  c.sc_packets <- c.sc_packets + 1;
-  if dip == no_dip then c.sc_dropped <- c.sc_dropped + 1;
-  let b = Char.code (Bytes.unsafe_get state i) in
-  if b land st_live = 0 then begin
-    c.sc_total <- c.sc_total + 1;
-    let bad = dip == no_dip in
-    if bad then begin
-      c.sc_broken <- c.sc_broken + 1;
-      c.sc_violations <- c.sc_violations + 1
-    end;
-    Array.unsafe_set first i dip;
-    Bytes.unsafe_set state i (Char.unsafe_chr (st_live lor (if bad then st_bad else 0)))
-  end
-  else if b land st_excluded = 0 then begin
-    let f = Array.unsafe_get first i in
-    let consistent = f != no_dip && dip != no_dip && Netcore.Endpoint.equal f dip in
-    if not consistent then begin
-      c.sc_violations <- c.sc_violations + 1;
-      if b land st_bad = 0 then begin
-        c.sc_broken <- c.sc_broken + 1;
-        Bytes.unsafe_set state i (Char.unsafe_chr (b lor st_bad))
-      end
-    end
-  end;
-  (* Pcc.on_finish: drop the tracking state (the verdict counters keep
-     what happened; [first] keeps the assignment for introspection) *)
-  if ends then Bytes.unsafe_set state i '\000'
-
-(* Pcc.on_dip_removed over this shard's flows only: a flow is judged
-   exclusively by its owner shard, so shard-local exclusion is globally
-   equivalent. *)
-let exclude_dip ~no_dip ~first ~state ~flow_shard ~shard dip =
-  for i = 0 to Array.length first - 1 do
-    if Array.unsafe_get flow_shard i = shard then begin
-      let b = Char.code (Bytes.unsafe_get state i) in
-      if b land st_live <> 0 then begin
-        let f = Array.unsafe_get first i in
-        if f != no_dip && Netcore.Endpoint.equal f dip then
-          Bytes.unsafe_set state i (Char.unsafe_chr (b lor st_excluded))
-      end
-    end
-  done
 
 (* flows are partitioned by a dedicated hash seed, independent of every
    table/ECMP seed, so sharding never correlates with placement *)
@@ -157,13 +95,55 @@ let shard_of ~shards tuple =
    domains would not. *)
 let auto_shards () = Int.max 1 (Domain.recommended_domain_count ())
 
+let worker_group ~parallel n job =
+  let workers = if parallel && n > 1 then Int.min n (auto_shards ()) else 1 in
+  let run_worker w =
+    let k = ref w in
+    while !k < n do
+      job !k;
+      k := !k + workers
+    done
+  in
+  let doms = Array.init (workers - 1) (fun j -> Domain.spawn (fun () -> run_worker (j + 1))) in
+  run_worker 0;
+  Array.iter Domain.join doms
+
+(* The DIP whose connections a control takes out of PCC judgement
+   (Lb.Pcc.on_dip_removed): the driver's dead-server rule. *)
+let removed_dip = function
+  | Update (_, Lb.Balancer.Dip_remove d) | Dip_dead d -> Some d
+  | Update (_, Lb.Balancer.Dip_replace { old_dip; _ }) -> Some old_dip
+  | Update (_, Lb.Balancer.Dip_add _) | Cpu_backlog _ | Attack_syn _ | Reroute _ -> None
+
+let act_on_switch sw ~at ctrl =
+  (match ctrl with
+   | Dip_dead _ -> ()
+   | Update _ | Cpu_backlog _ | Attack_syn _ | Reroute _ -> Silkroad.Switch.advance sw ~now:at);
+  match ctrl with
+  | Update (vip, u) -> Silkroad.Switch.request_update sw ~now:at ~vip u
+  | Dip_dead _ ->
+    (* ground truth only: no balancer interaction *)
+    ()
+  | Cpu_backlog n -> Silkroad.Switch.inject_cpu_backlog sw ~now:at ~work_items:n
+  | Attack_syn tuple ->
+    (* fills tables and queues but is not measured workload: no
+       counter, no PCC *)
+    ignore
+      (Silkroad.Switch.process_flow sw ~now:at ~flags:Netcore.Tcp_flags.syn ~payload_len:0 tuple)
+  | Reroute r ->
+    (* topology re-route: selected flows lose their switch-side state.
+       No PCC effect here — the judge keeps judging them, which is
+       exactly the network-wide consistency question. *)
+    ignore
+      (Silkroad.Switch.forget_flows sw ~now:at (fun flow _vip ->
+           Lb.Balancer.reroute_selects r flow))
+
 module Stepper = struct
   type shared = {
     horizon : float;
     shards : int;
     part : Packed_trace.partition;
-    first : Netcore.Endpoint.t array;
-    state : Bytes.t;
+    judge : Judge.t;
   }
 
   let make_shared ~(trace : Packed_trace.t) ~shards =
@@ -174,19 +154,17 @@ module Stepper = struct
       horizon = trace.Packed_trace.horizon;
       shards;
       part;
-      first = Array.make n_flows Silkroad.Switch.no_dip;
-      state = Bytes.make n_flows '\000';
+      judge = Judge.create ~flows:n_flows ~owners:shards;
     }
 
   let horizon sh = sh.horizon
-  let first_dip sh = sh.first
+  let judge sh = sh.judge
 
   type t = {
     sh : shared;
     shard : int;
     switch : Silkroad.Switch.t;
     batched : bool;
-    counters : counters;
     dips : Netcore.Endpoint.t array;
     mutable cursor : int;  (** next unprocessed packet of this shard *)
   }
@@ -198,15 +176,12 @@ module Stepper = struct
       shard;
       switch;
       batched;
-      counters =
-        { sc_packets = 0; sc_dropped = 0; sc_total = 0; sc_broken = 0; sc_violations = 0 };
       dips = Array.make (Array.length sh.part.Packed_trace.sh_times.(shard)) Silkroad.Switch.no_dip;
       cursor = 0;
     }
 
   let switch st = st.switch
 
-  let no_dip = Silkroad.Switch.no_dip
   let payload_len = 1024
 
   let process_range st lo hi =
@@ -224,9 +199,9 @@ module Stepper = struct
             Silkroad.Switch.process_flow st.switch ~now:times.(j) ~flags:flags.(j) ~payload_len
               flows.(j)
         done;
-      let first = st.sh.first and state = st.sh.state and c = st.counters in
+      let judge = st.sh.judge and owner = st.shard in
       for j = lo to hi - 1 do
-        judge ~no_dip ~first ~state c (Array.unsafe_get pflow j) (Array.unsafe_get st.dips j)
+        Judge.judge judge ~owner (Array.unsafe_get pflow j) (Array.unsafe_get st.dips j)
           ~ends:(Netcore.Tcp_flags.is_connection_end (Array.unsafe_get flags j))
       done
     end
@@ -243,44 +218,16 @@ module Stepper = struct
     process_range st st.cursor !j;
     st.cursor <- !j
 
-  let exclude st dip =
-    exclude_dip ~no_dip ~first:st.sh.first ~state:st.sh.state
-      ~flow_shard:st.sh.part.Packed_trace.flow_shard ~shard:st.shard dip
-
   let apply st ~at ctrl =
     flush_to st at;
+    (* a flow is judged exclusively by its owner shard, so shard-local
+       exclusion is globally equivalent *)
+    (match removed_dip ctrl with
+     | Some d -> Judge.exclude ~only:(st.sh.part.Packed_trace.flow_shard, st.shard) st.sh.judge d
+     | None -> ());
     match ctrl with
-    | Update (vip, u) ->
-      (* driver order: advance, dead-server PCC accounting, update *)
-      Silkroad.Switch.advance st.switch ~now:at;
-      (match u with
-       | Lb.Balancer.Dip_remove d -> exclude st d
-       | Lb.Balancer.Dip_replace { old_dip; _ } -> exclude st old_dip
-       | Lb.Balancer.Dip_add _ -> ());
-      Silkroad.Switch.request_update st.switch ~now:at ~vip u
-    | Dip_dead d ->
-      (* ground truth only: no balancer interaction *)
-      exclude st d
-    | Cpu_backlog n ->
-      Silkroad.Switch.advance st.switch ~now:at;
-      Silkroad.Switch.inject_cpu_backlog st.switch ~now:at ~work_items:n
-    | Attack_syn tuple ->
-      (* routed to the flow's owner shard; fills tables and queues but
-         is not measured workload: no counter, no PCC *)
-      if shard_of ~shards:st.sh.shards tuple = st.shard then begin
-        Silkroad.Switch.advance st.switch ~now:at;
-        ignore
-          (Silkroad.Switch.process_flow st.switch ~now:at ~flags:Netcore.Tcp_flags.syn
-             ~payload_len:0 tuple)
-      end
-    | Reroute r ->
-      (* topology re-route: selected flows lose their switch-side state.
-         No PCC effect here — the oracle keeps judging them, which is
-         exactly the network-wide consistency question. *)
-      Silkroad.Switch.advance st.switch ~now:at;
-      ignore
-        (Silkroad.Switch.forget_flows st.switch ~now:at (fun flow _vip ->
-             Lb.Balancer.reroute_selects r flow))
+    | Attack_syn tuple when shard_of ~shards:st.sh.shards tuple <> st.shard -> ()
+    | _ -> act_on_switch st.switch ~at ctrl
 
   let finish st ~now =
     let n = Array.length st.sh.part.Packed_trace.sh_times.(st.shard) in
@@ -288,29 +235,8 @@ module Stepper = struct
     st.cursor <- n;
     Silkroad.Switch.advance st.switch ~now
 
-  let counts st =
-    let c = st.counters in
-    {
-      c_packets = c.sc_packets;
-      c_dropped = c.sc_dropped;
-      c_connections = c.sc_total;
-      c_broken = c.sc_broken;
-      c_violations = c.sc_violations;
-    }
+  let counts st = Judge.counts st.sh.judge ~owner:st.shard
 end
-
-let sum_counts l =
-  List.fold_left
-    (fun acc c ->
-      {
-        c_packets = acc.c_packets + c.c_packets;
-        c_dropped = acc.c_dropped + c.c_dropped;
-        c_connections = acc.c_connections + c.c_connections;
-        c_broken = acc.c_broken + c.c_broken;
-        c_violations = acc.c_violations + c.c_violations;
-      })
-    { c_packets = 0; c_dropped = 0; c_connections = 0; c_broken = 0; c_violations = 0 }
-    l
 
 let run ?(mode = Batch) ~make_switch ~(trace : Packed_trace.t) ~controls () =
   let horizon = trace.Packed_trace.horizon in
@@ -336,52 +262,12 @@ let run ?(mode = Batch) ~make_switch ~(trace : Packed_trace.t) ~controls () =
     Array.iter (fun (at, ctrl) -> Stepper.apply st ~at ctrl) controls;
     Stepper.finish st ~now:horizon
   in
-  (* Worker groups, not one Domain per shard: [workers] is capped at
-     what the machine can actually run ([auto_shards]), each worker owns
-     the stride [w, w+workers, ...] of shards and runs them start to
-     finish, and exactly [workers - 1] Domains are spawned per run.
-     With one available core, workers = 1 and the parallel branch is the
-     literal sequential loop — parallel can never lose to sequential by
-     oversubscription. *)
-  let workers = if parallel && shards > 1 then Int.min shards (auto_shards ()) else 1 in
-  let run_worker w =
-    let k = ref w in
-    while !k < shards do
-      run_shard !k;
-      k := !k + workers
-    done
-  in
-  let (), elapsed =
-    Stopwatch.time (fun () ->
-        if workers > 1 then begin
-          let doms =
-            Array.init (workers - 1) (fun j -> Domain.spawn (fun () -> run_worker (j + 1)))
-          in
-          run_worker 0;
-          Array.iter Domain.join doms
-        end
-        else
-          for k = 0 to shards - 1 do
-            run_shard k
-          done)
-  in
-  let tot = sum_counts (Array.to_list (Array.map Stepper.counts steppers)) in
+  let (), elapsed = Stopwatch.time (fun () -> worker_group ~parallel shards run_shard) in
+  let tot = Judge.total (Stepper.judge sh) in
   let switches = Array.map Stepper.switch steppers in
-  let false_hits = ref 0 in
-  let repairs = ref 0 in
-  Array.iter
-    (fun sw ->
-      let s = Silkroad.Switch.stats sw in
-      false_hits := !false_hits + s.Silkroad.Switch.false_hits;
-      repairs := !repairs + s.Silkroad.Switch.collision_repairs)
-    switches;
+  let sum_stats f = Array.fold_left (fun acc sw -> acc + f (Silkroad.Switch.stats sw)) 0 switches in
   let own = Telemetry.Registry.create () in
-  let c name v = Telemetry.Registry.Counter.add (Telemetry.Registry.counter own name) v in
-  c "replay.packets" tot.c_packets;
-  c "replay.dropped_packets" tot.c_dropped;
-  c "replay.connections" tot.c_connections;
-  c "replay.broken_connections" tot.c_broken;
-  c "replay.violation_packets" tot.c_violations;
+  Judge.add_metrics own tot;
   let telemetry =
     Telemetry.Registry.merge_all
       (own :: Array.to_list (Array.map Silkroad.Switch.metrics switches))
@@ -393,9 +279,9 @@ let run ?(mode = Batch) ~make_switch ~(trace : Packed_trace.t) ~controls () =
     connections = tot.c_connections;
     broken = tot.c_broken;
     violations = tot.c_violations;
-    false_hits = !false_hits;
-    repairs = !repairs;
-    first_dip = Stepper.first_dip sh;
+    false_hits = sum_stats (fun s -> s.Silkroad.Switch.false_hits);
+    repairs = sum_stats (fun s -> s.Silkroad.Switch.collision_repairs);
+    first_dip = Judge.first_dip (Stepper.judge sh);
     telemetry;
     elapsed;
   }

@@ -1,6 +1,8 @@
 (** The fast-path replay engine: stream a {!Packed_trace.t} through one
-    or more {!Silkroad.Switch.t} instances with flat-array PCC
-    accounting, allocation-free on the per-packet path.
+    or more {!Silkroad.Switch.t} instances, judged by the flat PCC
+    {!Judge}. The loop builds no packet records, but the switch's packet
+    path itself allocates on the minor heap ([perfbench] reports it as
+    [alloc_words_per_pkt]).
 
     Three modes, with a pinned equivalence contract:
 
@@ -18,9 +20,9 @@
       scalar run — so equivalence with [Scalar] is stated over the
       collision-free counters only.
 
-    Judged-workload accounting mirrors {!Lb.Pcc} exactly; attack SYNs
-    go through the switch but touch neither the packet counters nor the
-    oracle, as in the driver. *)
+    Judged-workload accounting is {!Judge}, which mirrors {!Lb.Pcc}
+    exactly; attack SYNs go through the switch but touch neither the
+    packet counters nor the judge, as in the driver. *)
 
 type control =
   | Update of Netcore.Endpoint.t * Lb.Balancer.update
@@ -84,14 +86,16 @@ type result = {
           packet was dropped or the flow never sent *)
   telemetry : Telemetry.Registry.t;
       (** replay.* counters merged with every shard switch's registry *)
-  elapsed : float;  (** CPU seconds spent replaying (gather excluded) *)
+  elapsed : float;
+      (** process CPU seconds spent replaying ({!Stopwatch}; gather
+          excluded), summed over every Domain of a parallel run *)
 }
 
 val shard_of : shards:int -> Netcore.Five_tuple.t -> int
 (** The flow partition used by [Sharded] mode (dedicated hash seed,
     independent of all table seeds). *)
 
-type counts = {
+type counts = Judge.counts = {
   c_packets : int;
   c_dropped : int;
   c_connections : int;  (** distinct connections judged (Pcc.total) *)
@@ -99,7 +103,27 @@ type counts = {
   c_violations : int;
 }
 
-val sum_counts : counts list -> counts
+val worker_group : parallel:bool -> int -> (int -> unit) -> unit
+(** [worker_group ~parallel n job] runs [job 0 .. job (n-1)], the one
+    Domain pool of every replay engine. With [parallel] and [n > 1] it
+    uses [min n (auto_shards ())] workers, not one Domain per job: the
+    caller is worker 0, one Domain is spawned per further worker, and
+    worker [w] runs jobs [w, w + workers, ...] in order. Otherwise, and
+    on one core, it is the plain sequential loop, so parallel never
+    loses to sequential by oversubscription. Jobs running at the same
+    time must touch disjoint state. *)
+
+val removed_dip : control -> Netcore.Endpoint.t option
+(** The DIP a control takes out of PCC judgement ({!Judge.exclude}): a
+    removed or replaced pool member, or a dead DIP. *)
+
+val act_on_switch : Silkroad.Switch.t -> at:float -> control -> unit
+(** The effect of one control on one switch, PCC aside: advance the
+    switch to [at], then request the update, queue the CPU backlog, send
+    the attack SYN through the packet path, or forget the re-routed
+    flows. [Dip_dead] does nothing to a switch. Which switches a control
+    reaches is the caller's choice ({!Stepper.apply} picks its own
+    switch, and only the owner shard for an attack SYN). *)
 
 (** The replay loop, exposed incrementally: one stepper per shard, each
     owning a switch and a cursor into its share of the packed trace.
@@ -115,16 +139,14 @@ val sum_counts : counts list -> counts
     control plane is advanced outside the packet path. *)
 module Stepper : sig
   type shared
-  (** The trace gathered per shard plus the flow-indexed PCC arrays
-      (first-DIP and state) all shards of a run share; writes are
-      disjoint by flow owner, so parallel steppers need no locks. *)
+  (** The trace gathered per shard plus the {!Judge} all shards of a run
+      share, one judge owner per shard; writes are disjoint by flow
+      owner, so parallel steppers need no locks. *)
 
   val make_shared : trace:Packed_trace.t -> shards:int -> shared
   val horizon : shared -> float
 
-  val first_dip : shared -> Netcore.Endpoint.t array
-  (** Flow-indexed first judged DIP ({!Silkroad.Switch.no_dip}, compared
-      with [==], when dropped or never sent). *)
+  val judge : shared -> Judge.t
 
   type t
 
@@ -142,17 +164,18 @@ module Stepper : sig
       exactly the batch loop's behaviour between controls. *)
 
   val apply : t -> at:float -> control -> unit
-  (** [flush_to at], then apply the control: updates/backlogs advance
-      the switch to [at] first; DIP removals and deaths exclude the DIP
-      from PCC over this shard's flows; attack SYNs are applied only on
-      their flow's owner shard (broadcast-safe). Controls must be
-      applied in non-decreasing time order. *)
+  (** [flush_to at], then apply the control: {!removed_dip} is excluded
+      from PCC over this shard's flows, and {!act_on_switch} runs on
+      this shard's switch, except for an attack SYN of a flow another
+      shard owns (so broadcasting a control to every stepper is safe).
+      Controls must be applied in non-decreasing time order. *)
 
   val finish : t -> now:float -> unit
   (** Process every remaining packet, then advance the switch to [now]
       (the trace horizon in {!run}; a serve session may drain later). *)
 
   val counts : t -> counts
+  (** This shard's judge tally. *)
 end
 
 val run :

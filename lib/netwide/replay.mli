@@ -1,10 +1,10 @@
 (** Network-wide trace replay: a {!Harness.Packed_trace} streamed
     through every switch of a {!Topology}, with one end-to-end PCC
-    judge spanning the whole network.
+    judge ({!Harness.Judge}) spanning the whole network.
 
     Each switch is a shard whose partition is defined by the topology
-    ({!Route.owner}) instead of a hash — the PR 9 worker-group replay
-    machinery with ECMP as the shard function. The judge's flat
+    ({!Route.owner}) instead of a hash, run on
+    {!Harness.Replay.worker_group} with ECMP as the shard function. The judge's flat
     first-DIP/state arrays are global and flow-indexed, never
     per-switch: when a topology event moves a flow to a switch that
     never learned it, the oracle keeps holding the connection to the
@@ -15,8 +15,8 @@
     Equivalence contract (pinned by test/test_netwide.ml): on a
     degenerate topology whose placement puts every VIP on a single
     switch and with no topology events, [run] is byte-identical in
-    merged telemetry to {!Harness.Replay.run} [~mode:Scalar] (or
-    [Batch] when [batched]) over the same trace and controls. The
+    merged telemetry to {!Harness.Replay.run} [~mode:Scalar] and
+    [~mode:Batch] over the same trace and controls. The
     [netwide.*] counters are registered only when a topology event
     actually fires, so event-free runs add nothing to the snapshot. *)
 
@@ -44,11 +44,13 @@ type result = {
           node-id order. Registries survive switch failure/recovery, so
           counters continue across a down/up cycle. *)
   elapsed : float;
+      (** process CPU seconds ({!Harness.Stopwatch}), summed over every
+          Domain of the run: a parallel run reports more than its wall
+          time *)
 }
 
 val run :
   ?cfg:Silkroad.Config.t ->
-  ?batched:bool ->
   ?parallel:bool ->
   ?events:(float * event) list ->
   ?controls:(float * Harness.Replay.control) list ->
@@ -59,9 +61,9 @@ val run :
 (** Replay [trace] through [topo]. [controls] are the ordinary replay
     controls (updates, chaos), applied network-wide with the driver's
     tie order (packets at a control's time fire first; at equal times
-    controls fire before topology [events]). [batched] (default true)
-    uses {!Silkroad.Switch.process_batch}; [parallel] (default false)
-    processes the switches of each segment on a worker group of
+    controls fire before topology [events]). Each packet goes through
+    {!Silkroad.Switch.process_flow} on its owner switch and then the
+    judge. [parallel] (default false) processes the switches of each segment on a worker group of
     [min switches (auto_shards ())] domains — safe because a flow is
     owned by exactly one switch between consecutive topology events,
     and events are barriers. *)

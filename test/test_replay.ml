@@ -19,6 +19,11 @@
      order, same control tie-breaking — on scripted-update workloads
      and under all chaos scenarios.
 
+   - judge: the flat Harness.Judge every replay engine uses must agree
+     with the Hashtbl reference Lb.Pcc after every step of a random
+     packet/DIP-removal sequence, and its owner filter must exclude
+     only the named owner's flows.
+
    - scalar vs batch vs sharded: Batch must be byte-identical to Scalar
      (same switch, same order, only the boxing differs), checked as
      telemetry-JSON string equality. Sharded runs per-shard ConnTables
@@ -479,6 +484,91 @@ let compile_matches_driver_schedule () =
   done;
   check Alcotest.bool "times sorted" true !sorted
 
+(* ----- judge vs Lb.Pcc ----- *)
+
+type judge_event =
+  | J_packet of int * int option * bool  (** flow, DIP index or drop, ends *)
+  | J_remove of int  (** DIP index *)
+
+let judge_dips = Array.init 4 (fun k -> Netcore.Endpoint.v4 10 0 0 (k + 1) 80)
+let judge_flows = 8
+
+let gen_judge_events =
+  QCheck.Gen.(
+    list_size (int_bound 200)
+      (frequency
+         [
+           ( 8,
+             map3
+               (fun f d e -> J_packet (f, d, e))
+               (int_bound (judge_flows - 1))
+               (opt ~ratio:0.85 (int_bound (Array.length judge_dips - 1)))
+               (map (fun k -> k = 0) (int_bound 9)) );
+           (1, map (fun d -> J_remove d) (int_bound (Array.length judge_dips - 1)));
+         ]))
+
+let print_judge_event = function
+  | J_packet (f, d, e) ->
+    Printf.sprintf "pkt(flow %d, %s%s)" f
+      (match d with Some k -> Printf.sprintf "dip %d" k | None -> "drop")
+      (if e then ", ends" else "")
+  | J_remove d -> Printf.sprintf "remove(dip %d)" d
+
+(* flows split over two owners, as shards would hold them; the reference
+   has no owners, so the judge's totals must sum both tallies *)
+let qcheck_judge_vs_pcc =
+  QCheck.Test.make ~name:"judge agrees with Lb.Pcc after every step" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_judge_event) gen_judge_events)
+    (fun events ->
+      let judge = Harness.Judge.create ~flows:judge_flows ~owners:2 in
+      let pcc = Lb.Pcc.create () in
+      List.iteri
+        (fun step ev ->
+          (match ev with
+           | J_packet (f, d, ends) ->
+             let dip = Option.map (fun k -> judge_dips.(k)) d in
+             Lb.Pcc.on_packet pcc ~flow_id:f ~dip;
+             if ends then Lb.Pcc.on_finish pcc ~flow_id:f;
+             Harness.Judge.judge judge ~owner:(f mod 2) f
+               (Option.value dip ~default:Silkroad.Switch.no_dip)
+               ~ends
+           | J_remove k ->
+             Lb.Pcc.on_dip_removed pcc ~dip:judge_dips.(k);
+             Harness.Judge.exclude judge judge_dips.(k));
+          let c = Harness.Judge.total judge in
+          if
+            c.Harness.Judge.c_connections <> Lb.Pcc.total pcc
+            || c.Harness.Judge.c_broken <> Lb.Pcc.broken pcc
+            || c.Harness.Judge.c_violations <> Lb.Pcc.violations pcc
+          then
+            QCheck.Test.fail_reportf
+              "step %d: judge total/broken/violations %d/%d/%d, Lb.Pcc %d/%d/%d" step
+              c.Harness.Judge.c_connections c.Harness.Judge.c_broken
+              c.Harness.Judge.c_violations (Lb.Pcc.total pcc) (Lb.Pcc.broken pcc)
+              (Lb.Pcc.violations pcc))
+        events;
+      true)
+
+(* exclusion filtered to owner 0 spares owner 1's connections, which
+   then break when their DIP changes *)
+let judge_owner_filter () =
+  let flow_owner = [| 0; 1; 0; 1 |] in
+  let judge = Harness.Judge.create ~flows:4 ~owners:2 in
+  let a = judge_dips.(0) and b = judge_dips.(1) in
+  let send dip =
+    Array.iteri (fun f owner -> Harness.Judge.judge judge ~owner f dip ~ends:false) flow_owner
+  in
+  send a;
+  Harness.Judge.exclude ~only:(flow_owner, 0) judge a;
+  send b;
+  let c0 = Harness.Judge.counts judge ~owner:0 and c1 = Harness.Judge.counts judge ~owner:1 in
+  check Alcotest.int "owner 0: excluded, nothing broken" 0 c0.Harness.Judge.c_broken;
+  check Alcotest.int "owner 0: no violations" 0 c0.Harness.Judge.c_violations;
+  check Alcotest.int "owner 1: both connections broken" 2 c1.Harness.Judge.c_broken;
+  check Alcotest.int "owner 1: one violation each" 2 c1.Harness.Judge.c_violations;
+  check Alcotest.int "packets summed over owners" 8
+    (Harness.Judge.total judge).Harness.Judge.c_packets
+
 let chaos_cases make =
   List.map
     (fun (sc : Chaos.Scenario.t) -> tc sc.Chaos.Scenario.name `Slow (make sc))
@@ -494,6 +584,11 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_oracle_tiny_boxed;
         QCheck_alcotest.to_alcotest qcheck_oracle_under_update;
         tc "tiny config actually collides" `Quick tiny_config_collides;
+      ] );
+    ( "replay.judge",
+      [
+        QCheck_alcotest.to_alcotest qcheck_judge_vs_pcc;
+        tc "owner filter excludes one owner's flows" `Quick judge_owner_filter;
       ] );
     ( "replay.layout_equivalence",
       tc "scripted updates" `Quick layout_equiv_scripted
